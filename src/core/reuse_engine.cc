@@ -54,8 +54,7 @@ ReuseEngine::ReuseEngine(const Network &network, QuantizationPlan plan,
     : network_(network),
       plan_(std::move(plan)),
       config_(config),
-      drift_guard_(config.refreshPeriod, config.driftBound),
-      stats_(layerNames(network))
+      drift_guard_(config.refreshPeriod, config.driftBound)
 {
     if (config_.compileOptions.clusterRadius == 0)
         config_.compileOptions.clusterRadius = envClusterRadius();
@@ -75,7 +74,6 @@ ReuseEngine::ReuseEngine(const Network &network, QuantizationPlan plan,
         fatal(network_.name() + ": model validation failed\n" +
               report.str());
     }
-    state_ = makeState();
 }
 
 ReuseState
@@ -145,12 +143,6 @@ ReuseEngine::checkState(const ReuseState &state) const
 {
     REUSE_ASSERT(state.layerCount() == network_.layerCount(),
                  "ReuseState not created by this engine's makeState()");
-}
-
-void
-ReuseEngine::resetState()
-{
-    state_.reset();
 }
 
 void
@@ -280,25 +272,15 @@ ReuseEngine::execute(ReuseState &state, const Tensor &input,
     return next;
 }
 
-Tensor
-ReuseEngine::execute(const Tensor &input)
-{
-    Tensor out = execute(state_, input, last_trace_);
-    stats_.addTrace(last_trace_);
-    return out;
-}
-
 std::vector<Tensor>
 ReuseEngine::executeSequence(ReuseState &state,
                              const std::vector<Tensor> &inputs,
                              ExecutionTrace &trace) const
 {
-    checkState(state);
-    fault::maybeStall();
-    fault::maybeFatal();
-
     if (!network_.isRecurrent()) {
-        // Feed-forward: the sequence is a stream of frames.
+        // Feed-forward: the sequence is a stream of frames, each of
+        // which checks the state and passes the fault hooks in
+        // execute().
         std::vector<Tensor> outputs;
         outputs.reserve(inputs.size());
         ExecutionTrace combined;
@@ -314,7 +296,11 @@ ReuseEngine::executeSequence(ReuseState &state,
 
     // Recurrent: the whole sequence flows layer-by-layer (Sec. IV-D);
     // each call is a fresh utterance, so reuse state starts clean.
-    // For tracing, the utterance counts as one frame.
+    // For tracing and fault injection, the utterance counts as one
+    // frame.
+    checkState(state);
+    fault::maybeStall();
+    fault::maybeFatal();
     obs::FrameTraceScope frame_scope(0, obs::kAutoFrame);
     state.reset();
     trace.clear();
@@ -386,30 +372,6 @@ ReuseEngine::executeSequence(ReuseState &state,
         }
     }
     return current;
-}
-
-std::vector<Tensor>
-ReuseEngine::executeSequence(const std::vector<Tensor> &inputs)
-{
-    if (!network_.isRecurrent()) {
-        // Feed-forward: per-frame stats accumulation, as if the caller
-        // had invoked execute() frame by frame.
-        std::vector<Tensor> outputs;
-        outputs.reserve(inputs.size());
-        ExecutionTrace combined;
-        for (const Tensor &in : inputs) {
-            outputs.push_back(execute(in));
-            combined.insert(combined.end(), last_trace_.begin(),
-                            last_trace_.end());
-        }
-        last_trace_ = std::move(combined);
-        return outputs;
-    }
-
-    std::vector<Tensor> outputs =
-        executeSequence(state_, inputs, last_trace_);
-    stats_.addTrace(last_trace_);
-    return outputs;
 }
 
 } // namespace reuse

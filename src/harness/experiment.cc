@@ -45,6 +45,25 @@ reuseFrom(const ReuseStatsCollector &stats)
     return fracs;
 }
 
+/**
+ * Shared tail of the measure functions: folds the traces into a
+ * collector and derives the per-layer vectors and accuracy report.
+ */
+void
+summarize(const ReuseEngine &engine, const MeasureOptions &options,
+          const std::vector<Tensor> &reference,
+          const std::vector<Tensor> &reuse_outputs,
+          WorkloadMeasurement &m)
+{
+    m.stats = engine.makeStatsCollector();
+    for (const ExecutionTrace &trace : m.traces)
+        m.stats.addTrace(trace);
+    if (options.withReference)
+        m.accuracy = compareOutputs(reference, reuse_outputs);
+    m.layerSimilarity = similarityFrom(m.stats);
+    m.layerReuse = reuseFrom(m.stats);
+}
+
 } // namespace
 
 std::vector<double>
@@ -59,32 +78,29 @@ measureWorkload(const Network &network, const QuantizationPlan &plan,
                 const MeasureOptions &options)
 {
     REUSE_ASSERT(!inputs.empty(), "no inputs to measure");
-    WorkloadMeasurement m;
-
     if (network.isRecurrent()) {
         return measureWorkloadSequences(network, plan, {inputs},
                                         options);
     }
 
+    WorkloadMeasurement m;
     ReuseEngine engine(network, plan);
+    ReuseState state = engine.makeState();
     std::vector<Tensor> reuse_outputs;
     reuse_outputs.reserve(inputs.size());
-    for (const Tensor &in : inputs) {
-        reuse_outputs.push_back(engine.execute(in));
-        m.traces.push_back(engine.lastTrace());
+    m.traces.resize(inputs.size());
+    for (size_t i = 0; i < inputs.size(); ++i) {
+        reuse_outputs.push_back(
+            engine.execute(state, inputs[i], m.traces[i]));
     }
 
+    std::vector<Tensor> reference;
     if (options.withReference) {
-        std::vector<Tensor> reference;
         reference.reserve(inputs.size());
         for (const Tensor &in : inputs)
             reference.push_back(network.forward(in));
-        m.accuracy = compareOutputs(reference, reuse_outputs);
     }
-
-    m.stats = engine.stats();
-    m.layerSimilarity = similarityFrom(m.stats);
-    m.layerReuse = reuseFrom(m.stats);
+    summarize(engine, options, reference, reuse_outputs, m);
     return m;
 }
 
@@ -97,26 +113,20 @@ measureWorkloadSequences(const Network &network,
     REUSE_ASSERT(!sequences.empty(), "no sequences to measure");
     WorkloadMeasurement m;
     ReuseEngine engine(network, plan);
-
+    ReuseState state = engine.makeState();
     std::vector<Tensor> reuse_outputs;
     std::vector<Tensor> reference;
-    for (const auto &seq : sequences) {
-        std::vector<Tensor> out = engine.executeSequence(seq);
-        m.traces.push_back(engine.lastTrace());
-        for (auto &t : out)
+    m.traces.resize(sequences.size());
+    for (size_t i = 0; i < sequences.size(); ++i) {
+        for (Tensor &t :
+             engine.executeSequence(state, sequences[i], m.traces[i]))
             reuse_outputs.push_back(std::move(t));
         if (options.withReference) {
-            std::vector<Tensor> ref = network.forwardSequence(seq);
-            for (auto &t : ref)
+            for (Tensor &t : network.forwardSequence(sequences[i]))
                 reference.push_back(std::move(t));
         }
     }
-
-    m.stats = engine.stats();
-    if (options.withReference)
-        m.accuracy = compareOutputs(reference, reuse_outputs);
-    m.layerSimilarity = similarityFrom(m.stats);
-    m.layerReuse = reuseFrom(m.stats);
+    summarize(engine, options, reference, reuse_outputs, m);
     return m;
 }
 

@@ -2,13 +2,12 @@
  * @file
  * Sharded EDF run queues: the scheduling core of the serving runtime.
  *
- * The PR-1 runtime fed all workers from one global BoundedQueue; under
- * load that scatters a session's frames across cores (ReuseState pages
- * ping-pong between caches) and serves frames in FIFO order, so a
- * 10 ms-deadline speech frame waits behind a 1 s-deadline batch frame.
- * This container replaces it with one run queue per shard (striped
- * locks, workers pinned to a home shard) ordered by Earliest Deadline
- * First, plus:
+ * One global FIFO queue feeding all workers would, under load,
+ * scatter a session's frames across cores (ReuseState pages
+ * ping-pong between caches) and make a 10 ms-deadline speech frame
+ * wait behind a 1 s-deadline batch frame.  This container instead
+ * keeps one run queue per shard (striped locks, workers pinned to a
+ * home shard) ordered by Earliest Deadline First, plus:
  *
  *  - shed-on-admission: admitFrame() runs the EDF feasibility test —
  *    a frame is rejected up front when, at the shard's measured

@@ -89,14 +89,15 @@ TEST(LstmLayerReuse, EngineRunsUniLstmNetwork)
     const NetworkRanges ranges = profileNetworkRanges(net, seq);
     const QuantizationPlan plan = makePlan(net, ranges, 4096, {0, 1});
     ReuseEngine engine(net, plan);
-    const auto got = engine.executeSequence(seq);
+    ReuseState state = engine.makeState();
+    ExecutionTrace trace;
+    const auto got = engine.executeSequence(state, seq, trace);
     const auto want = net.forwardSequence(seq);
     ASSERT_EQ(got.size(), want.size());
     for (size_t t = 0; t < got.size(); ++t)
         for (int64_t j = 0; j < got[t].numel(); ++j)
             EXPECT_NEAR(got[t][j], want[t][j], 5e-2f);
 
-    const ExecutionTrace &trace = engine.lastTrace();
     EXPECT_EQ(trace[0].kind, LayerKind::Lstm);
     EXPECT_TRUE(trace[0].reuseEnabled);
     EXPECT_EQ(trace[0].steps, 10);

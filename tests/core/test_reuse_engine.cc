@@ -65,8 +65,10 @@ TEST(ReuseEngine, FineQuantizationMatchesReference)
     // reference is negligible quantization noise.
     MlpFixture f;
     ReuseEngine engine(f.net, f.plan(4096));
+    ReuseState state = engine.makeState();
+    ExecutionTrace trace;
     for (const Tensor &in : f.stream(20, 0.02f)) {
-        const Tensor got = engine.execute(in);
+        const Tensor got = engine.execute(state, in, trace);
         const Tensor want = f.net.forward(in);
         for (int64_t j = 0; j < got.numel(); ++j)
             EXPECT_NEAR(got[j], want[j], 2e-2f);
@@ -77,8 +79,9 @@ TEST(ReuseEngine, TraceCoversEveryLayer)
 {
     MlpFixture f;
     ReuseEngine engine(f.net, f.plan());
-    engine.execute(f.calib[0]);
-    const ExecutionTrace &trace = engine.lastTrace();
+    ReuseState state = engine.makeState();
+    ExecutionTrace trace;
+    engine.execute(state, f.calib[0], trace);
     ASSERT_EQ(trace.size(), 3u);
     EXPECT_TRUE(trace[0].reuseEnabled);
     EXPECT_FALSE(trace[1].reuseEnabled);
@@ -90,12 +93,14 @@ TEST(ReuseEngine, DisabledPlanIsPureFromScratch)
 {
     MlpFixture f;
     ReuseEngine engine(f.net, QuantizationPlan(f.net));
+    ReuseState state = engine.makeState();
+    ExecutionTrace trace;
     const Tensor in = f.calib[0];
-    const Tensor got = engine.execute(in);
+    const Tensor got = engine.execute(state, in, trace);
     const Tensor want = f.net.forward(in);
     for (int64_t j = 0; j < got.numel(); ++j)
         EXPECT_FLOAT_EQ(got[j], want[j]);
-    for (const auto &rec : engine.lastTrace()) {
+    for (const auto &rec : trace) {
         EXPECT_FALSE(rec.reuseEnabled);
         EXPECT_EQ(rec.macsPerformed, rec.macsFull);
     }
@@ -105,9 +110,10 @@ TEST(ReuseEngine, SecondIdenticalFrameSkipsEnabledLayers)
 {
     MlpFixture f;
     ReuseEngine engine(f.net, f.plan());
-    engine.execute(f.calib[0]);
-    engine.execute(f.calib[0]);
-    const ExecutionTrace &trace = engine.lastTrace();
+    ReuseState state = engine.makeState();
+    ExecutionTrace trace;
+    engine.execute(state, f.calib[0], trace);
+    engine.execute(state, f.calib[0], trace);
     EXPECT_EQ(trace[0].inputsChanged, 0);
     EXPECT_EQ(trace[0].macsPerformed, 0);
     // FC2's input is FC1's (unchanged) output through ReLU.
@@ -118,9 +124,14 @@ TEST(ReuseEngine, StatsAccumulateAcrossFrames)
 {
     MlpFixture f;
     ReuseEngine engine(f.net, f.plan(16));
-    for (const Tensor &in : f.stream(15, 0.05f))
-        engine.execute(in);
-    const auto &layers = engine.stats().layers();
+    ReuseState state = engine.makeState();
+    ReuseStatsCollector stats = engine.makeStatsCollector();
+    ExecutionTrace trace;
+    for (const Tensor &in : f.stream(15, 0.05f)) {
+        engine.execute(state, in, trace);
+        stats.addTrace(trace);
+    }
+    const auto &layers = stats.layers();
     ASSERT_EQ(layers.size(), 3u);
     EXPECT_EQ(layers[0].executions + layers[0].firstExecutions, 15);
     EXPECT_GT(layers[0].similarity(), 0.0);
@@ -131,10 +142,12 @@ TEST(ReuseEngine, ResetStateForcesFromScratch)
 {
     MlpFixture f;
     ReuseEngine engine(f.net, f.plan());
-    engine.execute(f.calib[0]);
-    engine.resetState();
-    engine.execute(f.calib[0]);
-    EXPECT_TRUE(engine.lastTrace()[0].firstExecution);
+    ReuseState state = engine.makeState();
+    ExecutionTrace trace;
+    engine.execute(state, f.calib[0], trace);
+    state.reset();
+    engine.execute(state, f.calib[0], trace);
+    EXPECT_TRUE(trace[0].firstExecution);
 }
 
 TEST(ReuseEngine, RefreshPeriodTriggersPeriodically)
@@ -143,10 +156,12 @@ TEST(ReuseEngine, RefreshPeriodTriggersPeriodically)
     ReuseEngineConfig cfg;
     cfg.refreshPeriod = 3;
     ReuseEngine engine(f.net, f.plan(), cfg);
+    ReuseState state = engine.makeState();
+    ExecutionTrace trace;
     int first_count = 0;
     for (int i = 0; i < 9; ++i) {
-        engine.execute(f.calib[0]);
-        first_count += engine.lastTrace()[0].firstExecution ? 1 : 0;
+        engine.execute(state, f.calib[0], trace);
+        first_count += trace[0].firstExecution ? 1 : 0;
     }
     EXPECT_EQ(first_count, 3);   // frames 0, 3, 6
 }
@@ -155,13 +170,35 @@ TEST(ReuseEngine, SequenceOfFramesMatchesPerFrameExecution)
 {
     MlpFixture f;
     const auto frames = f.stream(5, 0.1f);
-    ReuseEngine a(f.net, f.plan(64));
-    ReuseEngine b(f.net, f.plan(64));
-    const auto batch = a.executeSequence(frames);
+    ReuseEngine engine(f.net, f.plan(64));
+    ReuseState a = engine.makeState();
+    ReuseState b = engine.makeState();
+    ExecutionTrace batch_trace;
+    const auto batch = engine.executeSequence(a, frames, batch_trace);
+    ReuseStatsCollector batch_stats = engine.makeStatsCollector();
+    batch_stats.addTrace(batch_trace);
+    ReuseStatsCollector frame_stats = engine.makeStatsCollector();
+    ExecutionTrace trace;
     for (size_t i = 0; i < frames.size(); ++i) {
-        const Tensor one = b.execute(frames[i]);
+        const Tensor one = engine.execute(b, frames[i], trace);
+        frame_stats.addTrace(trace);
         for (int64_t j = 0; j < one.numel(); ++j)
             EXPECT_FLOAT_EQ(batch[i][j], one[j]);
+    }
+    // The concatenated sequence trace counts exactly what the
+    // per-frame traces count.
+    ASSERT_EQ(batch_stats.layers().size(), frame_stats.layers().size());
+    for (size_t l = 0; l < frame_stats.layers().size(); ++l) {
+        const LayerReuseStats &x = batch_stats.layers()[l];
+        const LayerReuseStats &y = frame_stats.layers()[l];
+        EXPECT_EQ(x.executions, y.executions);
+        EXPECT_EQ(x.firstExecutions, y.firstExecutions);
+        EXPECT_EQ(x.inputsChecked, y.inputsChecked);
+        EXPECT_EQ(x.inputsChanged, y.inputsChanged);
+        EXPECT_EQ(x.macsFull, y.macsFull);
+        EXPECT_EQ(x.macsPerformed, y.macsPerformed);
+        EXPECT_EQ(x.macsFullAll, y.macsFullAll);
+        EXPECT_EQ(x.macsPerformedAll, y.macsPerformedAll);
     }
 }
 
@@ -184,14 +221,15 @@ TEST(ReuseEngine, RecurrentNetworkRuns)
     const NetworkRanges ranges = profileNetworkRanges(net, seq);
     const QuantizationPlan plan = makePlan(net, ranges, 4096, {0, 1});
     ReuseEngine engine(net, plan);
-    const auto got = engine.executeSequence(seq);
+    ReuseState state = engine.makeState();
+    ExecutionTrace trace;
+    const auto got = engine.executeSequence(state, seq, trace);
     const auto want = net.forwardSequence(seq);
     ASSERT_EQ(got.size(), want.size());
     for (size_t t = 0; t < got.size(); ++t)
         for (int64_t j = 0; j < got[t].numel(); ++j)
             EXPECT_NEAR(got[t][j], want[t][j], 5e-2f);
 
-    const ExecutionTrace &trace = engine.lastTrace();
     ASSERT_EQ(trace.size(), 2u);
     EXPECT_EQ(trace[0].kind, LayerKind::BiLstm);
     EXPECT_EQ(trace[0].steps, 8);
@@ -206,7 +244,9 @@ TEST(ReuseEngineDeath, ExecuteOnRecurrentPanics)
     net.addLayer(std::make_unique<BiLstmLayer>("L1", 5, 4));
     initNetwork(net, rng);
     ReuseEngine engine(net, QuantizationPlan(net));
-    EXPECT_DEATH((void)engine.execute(Tensor(Shape({5}))),
+    ReuseState state = engine.makeState();
+    ExecutionTrace trace;
+    EXPECT_DEATH((void)engine.execute(state, Tensor(Shape({5})), trace),
                  "executeSequence");
 }
 

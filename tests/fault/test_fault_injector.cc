@@ -225,5 +225,22 @@ TEST(FaultInjector, FrameFaultsReportArmedAndFire)
     EXPECT_FALSE(fault::shouldDuplicateFrame());
 }
 
+TEST(FaultInjector, FeedForwardSequencePassesHooksOncePerFrame)
+{
+    if (!fault::injectionCompiledIn())
+        GTEST_SKIP() << "fault injection compiled out";
+    MlpFixture f;
+    ReuseEngine engine(f.net, f.plan());
+    ReuseState state = engine.makeState();
+    ExecutionTrace trace;
+    ArmGuard guard;
+    fault::FaultPlan plan;
+    plan.kind = fault::FaultKind::WorkerStall;
+    plan.fireAtInvocation = 1000;   // counted, never fired
+    fault::FaultInjector::global().arm(plan);
+    engine.executeSequence(state, f.stream(5), trace);
+    EXPECT_EQ(fault::FaultInjector::global().invocations(), 5u);
+}
+
 } // namespace
 } // namespace reuse

@@ -48,17 +48,19 @@ TEST(EstimateConsistency, MeasuredSimilarityReproducesCycles)
     // changes by its mean).
     Fixture f;
     ReuseEngine engine(f.net, f.plan);
-    std::vector<ExecutionTrace> traces;
+    ReuseState state = engine.makeState();
+    ReuseStatsCollector stats = engine.makeStatsCollector();
+    const int execs = 30;
+    std::vector<ExecutionTrace> traces(execs);
     Tensor x(Shape({64}));
     f.rng.fillGaussian(x.data(), 0.0f, 1.0f);
-    const int execs = 30;
     for (int i = 0; i < execs; ++i) {
         for (int64_t j = 0; j < 64; ++j)
             x[j] += f.rng.gaussian(0.0f, 0.05f);
-        engine.execute(x);
-        traces.push_back(engine.lastTrace());
+        engine.execute(state, x, traces[i]);
+        stats.addTrace(traces[i]);
     }
-    const auto sims = layerSimilarityVector(engine.stats());
+    const auto sims = layerSimilarityVector(stats);
 
     AcceleratorSim sim;
     const auto functional =
@@ -75,12 +77,11 @@ TEST(EstimateConsistency, BaselineExactMatch)
 {
     Fixture f;
     ReuseEngine engine(f.net, QuantizationPlan(f.net));
-    std::vector<ExecutionTrace> traces;
+    ReuseState state = engine.makeState();
+    std::vector<ExecutionTrace> traces(5);
     Tensor x(Shape({64}), 0.25f);
-    for (int i = 0; i < 5; ++i) {
-        engine.execute(x);
-        traces.push_back(engine.lastTrace());
-    }
+    for (ExecutionTrace &trace : traces)
+        engine.execute(state, x, trace);
     AcceleratorSim sim;
     const auto functional =
         sim.simulate(f.net, AccelMode::Baseline, traces);

@@ -99,8 +99,9 @@ TEST_F(TraceExportTest, ExportedTraceValidatesAgainstCheckedInSchema)
 {
     TracedMlpFixture f;
     ReuseEngine engine(f.net, f.plan());
-    for (const Tensor &in : f.stream(8, 0.05f))
-        engine.execute(in);
+    ReuseState state = engine.makeState();
+    ExecutionTrace frames;
+    engine.executeSequence(state, f.stream(8, 0.05f), frames);
     recordInstant(SpanKind::Eviction, -1, 1024, 2048, 0, 0, 3, 7);
 
     const JsonValue trace = exportAndParse();
@@ -118,8 +119,10 @@ TEST_F(TraceExportTest, LayerExecEventsCarryReuseArgs)
 {
     TracedMlpFixture f;
     ReuseEngine engine(f.net, f.plan());
-    engine.execute(f.calib[0]);
-    engine.execute(f.calib[0]);  // identical: full reuse
+    ReuseState state = engine.makeState();
+    ExecutionTrace frames;
+    engine.execute(state, f.calib[0], frames);
+    engine.execute(state, f.calib[0], frames);  // identical: full reuse
 
     const JsonValue trace = exportAndParse();
     const JsonValue::Array &events = trace.at("traceEvents").asArray();
@@ -167,8 +170,11 @@ TEST_F(TraceExportTest, FullSamplingMatchesEngineStatsExactly)
 {
     TracedMlpFixture f;
     ReuseEngine engine(f.net, f.plan());
-    for (const Tensor &in : f.stream(48, 0.05f))
-        engine.execute(in);
+    ReuseState state = engine.makeState();
+    ExecutionTrace frames;
+    engine.executeSequence(state, f.stream(48, 0.05f), frames);
+    ReuseStatsCollector stats = engine.makeStatsCollector();
+    stats.addTrace(frames);
 
     TraceAggregate agg;
     std::string error;
@@ -176,8 +182,7 @@ TEST_F(TraceExportTest, FullSamplingMatchesEngineStatsExactly)
         << error;
     EXPECT_EQ(agg.sampleEvery, 1u);
 
-    const std::vector<LayerReuseStats> &layers =
-        engine.stats().layers();
+    const std::vector<LayerReuseStats> &layers = stats.layers();
     for (const int li : {0, 2}) {
         ASSERT_TRUE(agg.layers.count(li)) << "layer " << li;
         const LayerTraceAgg &a = agg.layers.at(li);
@@ -199,8 +204,11 @@ TEST_F(TraceExportTest, SampledTraceAgreesWithinOnePercent)
     TraceRecorder::instance().setSampleEvery(4);
     TracedMlpFixture f;
     ReuseEngine engine(f.net, f.plan());
-    for (const Tensor &in : f.stream(512, 0.05f))
-        engine.execute(in);
+    ReuseState state = engine.makeState();
+    ExecutionTrace frames;
+    engine.executeSequence(state, f.stream(512, 0.05f), frames);
+    ReuseStatsCollector stats = engine.makeStatsCollector();
+    stats.addTrace(frames);
 
     TraceAggregate agg;
     std::string error;
@@ -208,8 +216,7 @@ TEST_F(TraceExportTest, SampledTraceAgreesWithinOnePercent)
         << error;
     EXPECT_EQ(agg.sampleEvery, 4u);
 
-    const std::vector<LayerReuseStats> &layers =
-        engine.stats().layers();
+    const std::vector<LayerReuseStats> &layers = stats.layers();
     for (const int li : {0, 2}) {
         ASSERT_TRUE(agg.layers.count(li)) << "layer " << li;
         const LayerTraceAgg &a = agg.layers.at(li);
@@ -225,7 +232,9 @@ TEST_F(TraceExportTest, ExportFileWritesParseableJson)
 {
     TracedMlpFixture f;
     ReuseEngine engine(f.net, f.plan());
-    engine.execute(f.calib[0]);
+    ReuseState state = engine.makeState();
+    ExecutionTrace frames;
+    engine.execute(state, f.calib[0], frames);
 
     const std::string path = testing::TempDir() + "trace_export.json";
     ASSERT_TRUE(TraceExporter::exportFile(path));

@@ -40,14 +40,14 @@ struct Fixture {
     std::vector<ExecutionTrace> traces(size_t frames, float sigma)
     {
         ReuseEngine engine(net, plan);
-        std::vector<ExecutionTrace> out;
+        ReuseState state = engine.makeState();
+        std::vector<ExecutionTrace> out(frames);
         Tensor x(Shape({32}));
         rng.fillGaussian(x.data(), 0.0f, 1.0f);
-        for (size_t i = 0; i < frames; ++i) {
+        for (ExecutionTrace &trace : out) {
             for (int64_t j = 0; j < 32; ++j)
                 x[j] += rng.gaussian(0.0f, sigma);
-            engine.execute(x);
-            out.push_back(engine.lastTrace());
+            engine.execute(state, x, trace);
         }
         return out;
     }
@@ -105,12 +105,11 @@ TEST(Accelerator, EstimateBaselineMatchesFunctionalBaseline)
     Fixture f;
     AcceleratorSim sim;
     ReuseEngine engine(f.net, QuantizationPlan(f.net));
-    std::vector<ExecutionTrace> traces;
+    ReuseState state = engine.makeState();
+    std::vector<ExecutionTrace> traces(3);
     Tensor x(Shape({32}), 0.5f);
-    for (int i = 0; i < 3; ++i) {
-        engine.execute(x);
-        traces.push_back(engine.lastTrace());
-    }
+    for (ExecutionTrace &trace : traces)
+        engine.execute(state, x, trace);
     const auto functional =
         sim.simulate(f.net, AccelMode::Baseline, traces);
     const auto estimated = sim.estimate(

@@ -64,6 +64,7 @@ TEST(Shape, EqualityComparesDims)
     EXPECT_EQ(Shape({2, 3}), Shape({2, 3}));
     EXPECT_NE(Shape({2, 3}), Shape({3, 2}));
     EXPECT_NE(Shape({2, 3}), Shape({2, 3, 1}));
+    EXPECT_NE(Shape({2, 3}), Shape({2, 3, 0}));
 }
 
 TEST(Shape, VectorConstructor)
@@ -77,6 +78,12 @@ TEST(ShapeDeath, OutOfRangeDimPanics)
 {
     Shape s({2, 2});
     EXPECT_DEATH((void)s.dim(5), "out of range");
+}
+
+TEST(ShapeDeath, RankAboveMaximumPanics)
+{
+    const std::vector<int64_t> dims(Shape::kMaxRank + 1, 1);
+    EXPECT_DEATH(Shape{dims}, "exceeds the maximum");
 }
 
 TEST(ShapeDeath, BadIndexPanics)
