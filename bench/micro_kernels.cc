@@ -4,7 +4,8 @@
  *
  *  - default: google-benchmark suite of from-scratch versus
  *    reuse-based execution of FC and conv layers at several
- *    similarity levels;
+ *    similarity levels, plus the per-frame cost of span capture
+ *    (BM_FrameCapture);
  *  - `--json=PATH`: a hand-rolled scalar vs blocked vs SIMD
  *    comparison of the delta-update kernels that verifies
  *    bit-exactness while timing, writes machine-readable records
@@ -41,6 +42,8 @@
 #include "kernels/delta_kernels.h"
 #include "kernels/dispatch.h"
 #include "nn/initializers.h"
+#include "obs/exemplar.h"
+#include "obs/trace_recorder.h"
 
 namespace reuse {
 namespace {
@@ -163,6 +166,58 @@ BM_Quantize(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_Quantize)->Arg(400)->Arg(39600);
+
+/**
+ * Span-capture cost of one Kaldi-shaped frame, in ns per frame: an
+ * outer FrameTraceScope, seven LayerExec spans with args each holding
+ * a LayerScan and a LayerApply, then ExemplarRecorder::finishFrame()
+ * on a healthy frame.  Arg 0: tracing off and exemplars disarmed (the
+ * path every benchmark workload runs); 1: exemplars armed; 2: every
+ * frame sampled into the trace rings.
+ */
+void
+BM_FrameCapture(benchmark::State &state)
+{
+    const int64_t mode = state.range(0);
+    obs::TraceRecorder &tracer = obs::TraceRecorder::instance();
+    obs::ExemplarRecorder &exemplars = obs::ExemplarRecorder::instance();
+    obs::ExemplarRecorder::Policy policy;
+    policy.armed = mode == 1;
+    exemplars.configure(policy);
+    tracer.setSampleEvery(mode == 2 ? 1 : 0);
+    tracer.clear();
+    obs::ExemplarRecorder::FrameMeta meta;
+    meta.session = 1;
+    uint64_t frame = 0;
+    for (auto _ : state) {
+        {
+            obs::FrameTraceScope scope(1, frame);
+            for (int32_t layer = 0; layer < 7; ++layer) {
+                obs::TraceSpan exec(obs::SpanKind::LayerExec, layer);
+                {
+                    obs::TraceSpan scan(obs::SpanKind::LayerScan);
+                    scan.args(360, 36);
+                }
+                {
+                    obs::TraceSpan apply(obs::SpanKind::LayerApply);
+                    apply.args(36, 2048);
+                }
+                if (exec.active()) {
+                    exec.args(360, 36, 737280, 73728,
+                              obs::kFlagReuseEnabled);
+                }
+            }
+        }
+        meta.frame = frame++;
+        benchmark::DoNotOptimize(exemplars.finishFrame(meta));
+    }
+    tracer.setSampleEvery(0);
+    tracer.clear();
+    exemplars.configure(obs::ExemplarRecorder::Policy{});
+    exemplars.clear();
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FrameCapture)->Arg(0)->Arg(1)->Arg(2);
 
 // ---------------------------------------------------------------
 // JSON mode: scalar vs blocked delta-update kernels.

@@ -5,13 +5,6 @@
 namespace reuse {
 namespace obs {
 
-ExemplarStaging &
-exemplarStaging()
-{
-    static thread_local ExemplarStaging staging;
-    return staging;
-}
-
 const char *
 exemplarCauseName(uint32_t bit)
 {
@@ -34,7 +27,7 @@ exemplarCauseName(uint32_t bit)
 ExemplarRecorder &
 ExemplarRecorder::instance()
 {
-    // Leaked on purpose: worker threads may stage spans during
+    // Leaked on purpose: worker threads may finish frames during
     // process teardown, same lifetime contract as TraceRecorder.
     static ExemplarRecorder *recorder = new ExemplarRecorder();
     return *recorder;
@@ -57,18 +50,17 @@ ExemplarRecorder::configure(const Policy &policy)
 namespace {
 
 /**
- * Steady-state reuse ratio over staged layer spans: 1 - performed
+ * Steady-state reuse ratio over a frame's layer spans: 1 - performed
  * MACs / full MACs across non-first, reuse-enabled LayerExec spans.
- * Returns -1 when no such span was staged (all-first-exec frames and
+ * Returns -1 when there is no such span (all-first-exec frames and
  * reuse-disabled models are never "low reuse").
  */
 double
-stagedReuseRatio(const ExemplarStaging &staging)
+frameReuseRatio(const FrameBuffer &buf)
 {
     int64_t full = 0;
     int64_t performed = 0;
-    for (uint32_t i = 0; i < staging.count; ++i) {
-        const ExemplarSpan &s = staging.spans[i];
+    for (const TraceEvent &s : buf) {
         if (s.kind != SpanKind::LayerExec)
             continue;
         if (s.flags & kFlagFirstExecution)
@@ -90,18 +82,16 @@ stagedReuseRatio(const ExemplarStaging &staging)
 uint32_t
 ExemplarRecorder::finishFrame(const FrameMeta &meta)
 {
-    ExemplarStaging &staging = exemplarStaging();
-    if (!armed()) {
-        staging.reset();
+    if (!armed())
         return 0;
-    }
-    if (staging.overflow > 0) {
-        staging_overflows_.fetch_add(staging.overflow,
+    FrameBuffer &buf = frameBuffer();
+    if (buf.overflow > 0) {
+        staging_overflows_.fetch_add(buf.overflow,
                                      std::memory_order_relaxed);
     }
 
     const int64_t latency_us = meta.completedMicros - meta.enqueuedMicros;
-    const double reuse = stagedReuseRatio(staging);
+    const double reuse = frameReuseRatio(buf);
 
     uint32_t causes = 0;
     if (meta.deadlineMicros > 0 && meta.completedMicros > meta.deadlineMicros)
@@ -120,7 +110,7 @@ ExemplarRecorder::finishFrame(const FrameMeta &meta)
             causes |= kExemplarColdRewarm;
 
         if (causes == 0) {
-            staging.reset();
+            buf.clear();
             return 0;
         }
 
@@ -129,7 +119,7 @@ ExemplarRecorder::finishFrame(const FrameMeta &meta)
         ex.frame = meta.frame;
         ex.sloClass = meta.sloClass;
         ex.causes = causes;
-        ex.truncated = staging.overflow > 0;
+        ex.truncated = buf.overflow > 0;
         ex.stolen = meta.stolen;
         ex.migrations = meta.migrations;
         ex.enqueuedMicros = meta.enqueuedMicros;
@@ -137,17 +127,25 @@ ExemplarRecorder::finishFrame(const FrameMeta &meta)
         ex.deadlineMicros = meta.deadlineMicros;
         ex.latencyUs = latency_us;
         ex.reuseRatio = reuse;
-        ex.spans.assign(staging.spans, staging.spans + staging.count);
+        ex.spans.assign(buf.begin(), buf.end());
         commit(std::move(ex));
     }
-    staging.reset();
+    buf.clear();
     return causes;
 }
 
 void
 ExemplarRecorder::recordShed(uint64_t session, uint8_t slo_class,
-                             int64_t retry_after_us, int64_t now_micros)
+                             int64_t pending, int64_t retry_after_us,
+                             int64_t now_micros)
 {
+    TraceEvent shed;
+    shed.kind = SpanKind::FrameShed;
+    shed.startNs = TraceRecorder::instance().nowNs();
+    shed.a = pending;
+    shed.b = retry_after_us;
+    shed.session = session;
+    recordInstant(shed);
     if (!armed())
         return;
     Exemplar ex;
@@ -156,13 +154,9 @@ ExemplarRecorder::recordShed(uint64_t session, uint8_t slo_class,
     ex.causes = kExemplarShed;
     ex.enqueuedMicros = now_micros;
     ex.completedMicros = now_micros;
-    // Shed frames never executed; stash the backoff hint where the
-    // doctor can see it.
-    ExemplarSpan span;
-    span.kind = SpanKind::FrameShed;
-    span.a = 0;
-    span.b = retry_after_us;
-    ex.spans.push_back(span);
+    // Shed frames never executed; the instant carries the backoff
+    // hint where the doctor can see it.
+    ex.spans.push_back(shed);
     MutexLock lock(mu_);
     commit(std::move(ex));
 }

@@ -5,16 +5,17 @@
  * The 1-in-N frame sampling of trace_recorder.h statistically misses
  * exactly the frames an on-call engineer needs: the p99 outliers.
  * This module captures them *after the fact*: while the exemplar
- * recorder is armed, every frame stages its spans (queue wait, steal
+ * recorder is armed, every frame writes its spans (queue wait, steal
  * and migration hops, per-layer scan/apply/first-exec, drift
- * refreshes) in a small fixed-size thread-local buffer as a side
- * effect of the instrumentation that already exists for sampling.  On
- * completion the serving layer calls finishFrame(), which commits the
- * staged causal timeline to a bounded exemplar ring ONLY when the
- * frame was actually bad — it missed its deadline, exceeded its
+ * refreshes) into the thread's FrameBuffer (obs/trace_recorder.h),
+ * the one buffer a sampled frame also publishes to the trace ring.
+ * On completion the serving layer calls finishFrame(), which commits
+ * the buffered causal timeline to a bounded exemplar ring ONLY when
+ * the frame was actually bad — it missed its deadline, exceeded its
  * class's latency threshold, ran cold after an eviction, or fell
- * under a reuse floor.  Healthy frames pay the staging writes and one
- * branch per span; nothing is allocated and no lock is taken.
+ * under a reuse floor.  Healthy frames pay the buffer writes and one
+ * discard; nothing is allocated in steady state.  The committed ring
+ * outlives trace-ring wrap, so it stays a separate store.
  *
  * Layering: this header knows nothing about src/serve.  SLO classes
  * arrive as plain ordinals with caller-supplied display names, and
@@ -38,54 +39,6 @@
 namespace reuse {
 namespace obs {
 
-/** One staged span inside an exemplar's causal timeline. */
-struct ExemplarSpan {
-    SpanKind kind = SpanKind::FrameExec;
-    int32_t layer = -1;
-    uint32_t flags = 0;
-    /** Tracer-epoch nanoseconds (same timeline as exported traces). */
-    int64_t startNs = 0;
-    int64_t durNs = 0;
-    /** Generic args; meaning per kind (see spanArgNames). */
-    int64_t a = 0;
-    int64_t b = 0;
-    int64_t c = 0;
-    int64_t d = 0;
-};
-
-/**
- * Per-thread staging buffer.  Fixed capacity: a frame is ~one span
- * per layer plus a handful of frame-level spans, so 96 slots hold any
- * zoo model; overflow truncates (counted, surfaced on the exemplar
- * and in trace_report) rather than allocating on the hot path.
- */
-struct ExemplarStaging {
-    static constexpr size_t kCapacity = 96;
-
-    uint32_t count = 0;
-    /** Spans that did not fit since the last reset. */
-    uint32_t overflow = 0;
-    ExemplarSpan spans[kCapacity];
-
-    void reset()
-    {
-        count = 0;
-        overflow = 0;
-    }
-
-    void add(const ExemplarSpan &span)
-    {
-        if (count >= kCapacity) {
-            ++overflow;
-            return;
-        }
-        spans[count++] = span;
-    }
-};
-
-/** The calling thread's staging buffer (created on first use). */
-ExemplarStaging &exemplarStaging();
-
 /** Why an exemplar was committed (bitmask; a frame can have many). */
 enum : uint32_t {
     kExemplarDeadlineMiss = 1u << 0,
@@ -106,7 +59,7 @@ struct Exemplar {
     uint8_t sloClass = 0;
     /** OR of kExemplar* cause bits (never 0 on a committed record). */
     uint32_t causes = 0;
-    /** True when the staging buffer overflowed (spans missing). */
+    /** True when the frame buffer overflowed (spans missing). */
     bool truncated = false;
     /** True when an idle worker stole the frame from its home shard. */
     bool stolen = false;
@@ -119,11 +72,12 @@ struct Exemplar {
     /** Submit-to-completion latency (0 for shed frames). */
     int64_t latencyUs = 0;
     /**
-     * Steady-state computation reuse over the staged layer spans
-     * (first executions excluded); -1 when no steady span was staged.
+     * Steady-state computation reuse over the frame's layer spans
+     * (first executions excluded); -1 when it had no steady span.
      */
     double reuseRatio = -1.0;
-    std::vector<ExemplarSpan> spans;
+    /** The frame's spans, in emission order (seq/tid unused). */
+    std::vector<TraceEvent> spans;
 };
 
 /**
@@ -162,10 +116,10 @@ class ExemplarRecorder
     /** The singleton (created on first use; never destroyed). */
     static ExemplarRecorder &instance();
 
-    /** Replaces the policy; arms/disarms staging process-wide. */
+    /** Replaces the policy; arms/disarms capture process-wide. */
     void configure(const Policy &policy) EXCLUDES(mu_);
 
-    /** True when frames must stage their spans (one relaxed load). */
+    /** True when every frame must buffer its spans (one relaxed load). */
     bool armed() const
     {
         return armed_.load(std::memory_order_relaxed);
@@ -187,19 +141,21 @@ class ExemplarRecorder
 
     /**
      * Commit decision for the frame whose spans the calling thread
-     * just staged (call after the frame's FrameTraceScope closed, on
-     * the same thread).  Consumes and resets the staging buffer.
-     * Returns the cause mask (0 = healthy, nothing committed).
+     * just buffered (call after the frame's FrameTraceScope closed,
+     * on the same thread).  Consumes the frame buffer.  Returns the
+     * cause mask (0 = healthy, nothing committed).
      */
     uint32_t finishFrame(const FrameMeta &meta) EXCLUDES(mu_);
 
     /**
-     * Commits a minimal exemplar for a frame shed at admission (no
-     * spans — the frame never executed).
+     * Reports a frame shed at admission: records the FrameShed
+     * instant (args: pending frames, backoff) and, when armed,
+     * commits a minimal exemplar holding just that instant — the
+     * frame never executed.
      */
     void recordShed(uint64_t session, uint8_t slo_class,
-                    int64_t retry_after_us, int64_t now_micros)
-        EXCLUDES(mu_);
+                    int64_t pending, int64_t retry_after_us,
+                    int64_t now_micros) EXCLUDES(mu_);
 
     /** Copies the committed ring, oldest first. */
     std::vector<Exemplar> snapshot() const EXCLUDES(mu_);
@@ -219,7 +175,7 @@ class ExemplarRecorder
         return dropped_.load(std::memory_order_relaxed);
     }
 
-    /** Spans lost to staging-buffer overflow since the last clear(). */
+    /** Spans lost to frame-buffer overflow since the last clear(). */
     uint64_t stagingOverflows() const
     {
         return staging_overflows_.load(std::memory_order_relaxed);

@@ -69,6 +69,9 @@ writeDump(const char *reason)
     if (!out)
         return false;
 
+    // The dying thread's open sampled frame is still in its frame
+    // buffer; publish it so the dump shows where that frame was.
+    flushOpenFrame();
     TraceRecorder &rec = TraceRecorder::instance();
     out << "{\"postmortem\":{\"reason\":\""
         << jsonEscape(reason != nullptr ? reason : "unknown")

@@ -2,8 +2,9 @@
  * @file
  * Postmortem flight recorder: when the process dies — fatal signal,
  * fatal()/panic(), or an injected engine fatal — the in-memory trace
- * rings, the committed exemplar ring, and a metrics snapshot are
- * dumped to a file that latency_doctor and trace_report read offline.
+ * rings (plus the dumping thread's open sampled frame), the committed
+ * exemplar ring, and a metrics snapshot are dumped to a file that
+ * latency_doctor and trace_report read offline.
  *
  * The dump is best-effort by design: it runs on the crashing thread,
  * takes the same locks snapshot() takes (trace rings are

@@ -22,6 +22,31 @@ writeMicros(std::ostream &os, int64_t ns)
     os << buf;
 }
 
+/** Writes the members of one "args" object; unnamed args are skipped. */
+struct ArgWriter {
+    std::ostream &os;
+    bool first = true;
+
+    template <typename T>
+    void operator()(const char *name, T value)
+    {
+        if (name == nullptr)
+            return;
+        os << (first ? "\"" : ",\"") << name << "\":" << value;
+        first = false;
+    }
+
+    /** The span kind's named generic args a-d (see spanArgNames). */
+    void kindArgs(const TraceEvent &ev)
+    {
+        const SpanArgNames names = spanArgNames(ev.kind);
+        (*this)(names.a, ev.a);
+        (*this)(names.b, ev.b);
+        (*this)(names.c, ev.c);
+        (*this)(names.d, ev.d);
+    }
+};
+
 void
 writeEvent(std::ostream &os, const TraceEvent &ev)
 {
@@ -37,22 +62,10 @@ writeEvent(std::ostream &os, const TraceEvent &ev)
         writeMicros(os, ev.durNs);
     }
     os << ",\"args\":{";
-    bool firstArg = true;
-    auto arg = [&](const char *name, auto value) {
-        if (name == nullptr)
-            return;
-        if (!firstArg)
-            os << ",";
-        firstArg = false;
-        os << "\"" << name << "\":" << value;
-    };
+    ArgWriter arg{os};
     if (ev.layer >= 0)
         arg("layer", ev.layer);
-    const SpanArgNames names = spanArgNames(ev.kind);
-    arg(names.a, ev.a);
-    arg(names.b, ev.b);
-    arg(names.c, ev.c);
-    arg(names.d, ev.d);
+    arg.kindArgs(ev);
     arg("session", ev.session);
     arg("frame", ev.frame);
     if (ev.kind == SpanKind::LayerExec ||
@@ -148,7 +161,7 @@ TraceExporter::writeExemplar(std::ostream &os, const Exemplar &ex)
     writeRatio(os, ex.reuseRatio);
     os << ",\"spans\":[";
     for (size_t i = 0; i < ex.spans.size(); ++i) {
-        const ExemplarSpan &s = ex.spans[i];
+        const TraceEvent &s = ex.spans[i];
         if (i != 0)
             os << ",";
         os << "{\"name\":\"" << spanKindName(s.kind) << "\",\"ts\":";
@@ -157,20 +170,7 @@ TraceExporter::writeExemplar(std::ostream &os, const Exemplar &ex)
         writeMicros(os, s.durNs);
         os << ",\"layer\":" << s.layer << ",\"flags\":" << s.flags
            << ",\"args\":{";
-        const SpanArgNames names = spanArgNames(s.kind);
-        bool firstArg = true;
-        auto arg = [&](const char *name, int64_t value) {
-            if (name == nullptr)
-                return;
-            if (!firstArg)
-                os << ",";
-            firstArg = false;
-            os << "\"" << name << "\":" << value;
-        };
-        arg(names.a, s.a);
-        arg(names.b, s.b);
-        arg(names.c, s.c);
-        arg(names.d, s.d);
+        ArgWriter{os}.kindArgs(s);
         os << "}}";
     }
     os << "]}";

@@ -296,6 +296,26 @@ frameContext()
     return ctx;
 }
 
+FrameBuffer &
+frameBuffer()
+{
+    thread_local FrameBuffer buffer;
+    return buffer;
+}
+
+namespace {
+
+/** Publishes the buffer's not-yet-published events to the ring. */
+void
+publish(FrameBuffer &buf)
+{
+    TraceRecorder &rec = TraceRecorder::instance();
+    for (; buf.published < buf.count; ++buf.published)
+        rec.record(buf.slots[buf.published]);
+}
+
+} // namespace
+
 FrameTraceScope::FrameTraceScope(uint64_t session, uint64_t frame)
 {
     FrameContext &ctx = frameContext();
@@ -305,14 +325,12 @@ FrameTraceScope::FrameTraceScope(uint64_t session, uint64_t frame)
         return;
     TraceRecorder &rec = TraceRecorder::instance();
     uint64_t tick = 0;
-    ctx.active = rec.sampleFrameTick(&tick);
-    if (ExemplarRecorder::instance().armed()) {
-        ExemplarStaging &staging = exemplarStaging();
-        staging.reset();
-        ctx.staging = &staging;
-    }
-    if (!ctx.active && ctx.staging == nullptr)
+    ctx.sampled = rec.sampleFrameTick(&tick);
+    if (!ctx.sampled && !ExemplarRecorder::instance().armed())
         return;
+    FrameBuffer &buf = frameBuffer();
+    buf.open(ctx.sampled);
+    ctx.buffer = &buf;
     ctx.session = session;
     ctx.frame = frame == kAutoFrame ? tick : frame;
     start_ = rec.nowNs();
@@ -322,80 +340,51 @@ FrameTraceScope::~FrameTraceScope()
 {
     FrameContext &ctx = frameContext();
     --ctx.depth;
-    if (!outer_)
+    if (!outer_ || ctx.buffer == nullptr)
         return;
-    if (ctx.active || ctx.staging != nullptr) {
-        TraceRecorder &rec = TraceRecorder::instance();
-        const int64_t end = rec.nowNs();
-        if (ctx.staging != nullptr) {
-            ExemplarSpan span;
-            span.kind = SpanKind::FrameExec;
-            span.startNs = start_;
-            span.durNs = end - start_;
-            ctx.staging->add(span);
-        }
-        if (ctx.active) {
-            TraceEvent ev;
-            ev.kind = SpanKind::FrameExec;
-            ev.startNs = start_;
-            ev.durNs = end - start_;
-            ev.session = ctx.session;
-            ev.frame = ctx.frame;
-            rec.record(ev);
-        }
-    }
-    // The staged spans stay in the thread-local buffer for the
-    // caller's ExemplarRecorder::finishFrame(); only the pointer that
-    // routes new spans into it is cleared here.
-    ctx.active = false;
-    ctx.staging = nullptr;
-    ctx.session = 0;
-    ctx.frame = 0;
+    TraceEvent ev;
+    ev.kind = SpanKind::FrameExec;
+    ev.startNs = start_;
+    ev.durNs = TraceRecorder::instance().nowNs() - start_;
+    ev.session = ctx.session;
+    ev.frame = ctx.frame;
+    ctx.buffer->add(ev);
+    if (ctx.sampled)
+        publish(*ctx.buffer);
+    // Armed: the spans stay for the caller's finishFrame().
+    if (!ExemplarRecorder::instance().armed())
+        ctx.buffer->clear();
+    ctx.sampled = false;
+    ctx.buffer = nullptr;
 }
 
 TraceSpan::TraceSpan(SpanKind kind, int32_t layer)
-    : active_(traceActive()), staging_(frameContext().staging),
-      kind_(kind), layer_(layer)
+    : buffer_(frameContext().buffer), kind_(kind), layer_(layer)
 {
-    if (active_ || staging_ != nullptr)
+    if (buffer_ != nullptr)
         start_ = TraceRecorder::instance().nowNs();
 }
 
 TraceSpan::~TraceSpan()
 {
-    if (!active_ && staging_ == nullptr)
+    if (buffer_ == nullptr)
         return;
-    TraceRecorder &rec = TraceRecorder::instance();
+    const int64_t end = TraceRecorder::instance().nowNs();
+    TraceEvent *ev = buffer_->append();
+    if (ev == nullptr)
+        return;
     const FrameContext &ctx = frameContext();
-    const int64_t end = rec.nowNs();
-    if (staging_ != nullptr) {
-        ExemplarSpan span;
-        span.kind = kind_;
-        span.layer = layer_;
-        span.flags = flags_;
-        span.startNs = start_;
-        span.durNs = end - start_;
-        span.a = a_;
-        span.b = b_;
-        span.c = c_;
-        span.d = d_;
-        staging_->add(span);
-    }
-    if (!active_)
-        return;
-    TraceEvent ev;
-    ev.kind = kind_;
-    ev.startNs = start_;
-    ev.durNs = end - start_;
-    ev.layer = layer_;
-    ev.flags = flags_;
-    ev.a = a_;
-    ev.b = b_;
-    ev.c = c_;
-    ev.d = d_;
-    ev.session = ctx.session;
-    ev.frame = ctx.frame;
-    rec.record(ev);
+    ev->kind = kind_;
+    ev->startNs = start_;
+    ev->durNs = end - start_;
+    ev->layer = layer_;
+    ev->flags = flags_;
+    ev->a = a_;
+    ev->b = b_;
+    ev->c = c_;
+    ev->d = d_;
+    ev->session = ctx.session;
+    ev->frame = ctx.frame;
 }
 
 void
@@ -403,27 +392,11 @@ recordInstant(SpanKind kind, int32_t layer, int64_t a, int64_t b,
               int64_t c, int64_t d, uint64_t session, uint64_t frame)
 {
     TraceRecorder &rec = TraceRecorder::instance();
-    ExemplarStaging *staging = frameContext().staging;
-    if (!rec.enabled() && staging == nullptr)
-        return;
-    const int64_t now = rec.nowNs();
-    if (staging != nullptr) {
-        ExemplarSpan span;
-        span.kind = kind;
-        span.layer = layer;
-        span.startNs = now;
-        span.a = a;
-        span.b = b;
-        span.c = c;
-        span.d = d;
-        staging->add(span);
-    }
-    if (!rec.enabled())
+    if (!rec.enabled() && frameContext().buffer == nullptr)
         return;
     TraceEvent ev;
     ev.kind = kind;
-    ev.startNs = now;
-    ev.durNs = 0;
+    ev.startNs = rec.nowNs();
     ev.layer = layer;
     ev.a = a;
     ev.b = b;
@@ -431,38 +404,46 @@ recordInstant(SpanKind kind, int32_t layer, int64_t a, int64_t b,
     ev.d = d;
     ev.session = session;
     ev.frame = frame;
-    rec.record(ev);
+    recordInstant(ev);
+}
+
+void
+recordInstant(const TraceEvent &ev)
+{
+    const FrameContext &ctx = frameContext();
+    if (ctx.buffer != nullptr)
+        ctx.buffer->add(ev);
+    // A sampled frame publishes its buffer when it closes; every
+    // other instant goes straight to the ring.
+    TraceRecorder &rec = TraceRecorder::instance();
+    if (rec.enabled() && !ctx.sampled)
+        rec.record(ev);
 }
 
 void
 recordSpanAt(SpanKind kind, int64_t start_ns, int64_t end_ns,
              uint64_t session, uint64_t frame, int64_t a, int64_t b)
 {
-    const FrameContext &ctx = frameContext();
-    if (!ctx.active && ctx.staging == nullptr)
-        return;
-    TraceRecorder &rec = TraceRecorder::instance();
-    const int64_t dur = end_ns > start_ns ? end_ns - start_ns : 0;
-    if (ctx.staging != nullptr) {
-        ExemplarSpan span;
-        span.kind = kind;
-        span.startNs = start_ns;
-        span.durNs = dur;
-        span.a = a;
-        span.b = b;
-        ctx.staging->add(span);
-    }
-    if (!ctx.active)
+    FrameBuffer *buf = frameContext().buffer;
+    if (buf == nullptr)
         return;
     TraceEvent ev;
     ev.kind = kind;
     ev.startNs = start_ns;
-    ev.durNs = dur;
+    ev.durNs = end_ns > start_ns ? end_ns - start_ns : 0;
     ev.a = a;
     ev.b = b;
     ev.session = session;
     ev.frame = frame;
-    rec.record(ev);
+    buf->add(ev);
+}
+
+void
+flushOpenFrame()
+{
+    const FrameContext &ctx = frameContext();
+    if (ctx.sampled && ctx.buffer != nullptr)
+        publish(*ctx.buffer);
 }
 
 } // namespace obs

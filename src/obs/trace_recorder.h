@@ -1,7 +1,8 @@
 /**
  * @file
  * Low-overhead, always-compiled-but-sampled span tracing for the
- * reuse hot path.
+ * reuse hot path, and the one per-frame capture path that feeds both
+ * the trace rings and the tail-latency exemplars (obs/exemplar.h).
  *
  * Design (DESIGN.md §11):
  *  - Each thread owns one fixed-capacity ring of trace events.  The
@@ -11,16 +12,20 @@
  *    snapshot readers are data-race-free (TSan-clean) and torn slots
  *    — a reader overlapping a wrap-around overwrite — are detected
  *    and skipped, never misreported.
- *  - Sampling is per *frame*: the Nth frame (REUSE_TRACE_SAMPLE=1/N,
- *    0 = off) traces every span it executes, so one sampled frame
- *    yields a complete submit → queue → per-layer kernel picture and
- *    per-layer similarity ratios aggregate without bias.  Unsampled
- *    frames pay one relaxed load and a thread-local check per
- *    potential span.
+ *  - Each thread also owns one FrameBuffer.  The outermost
+ *    FrameTraceScope opens it when the frame is sampled
+ *    (REUSE_TRACE_SAMPLE=1/N, 0 = off) or exemplar capture is armed;
+ *    every span the frame emits is written into it exactly once.
+ *    When the scope closes, a sampled frame publishes the buffer to
+ *    the ring; ExemplarRecorder::finishFrame() commits the same
+ *    buffer when an exemplar cause fires.  "Sampled" is one more
+ *    commit cause.  Frames nobody captures pay one thread-local load
+ *    and one branch per potential span.
  *  - Rare events (evictions, drift refreshes, shed frames,
  *    corruption recoveries) are recorded whenever tracing is enabled
  *    at all, independent of frame sampling — losing them would blind
- *    exactly the investigations they exist for.
+ *    exactly the investigations they exist for.  Outside a sampled
+ *    frame they go straight to the ring.
  *
  * The recorder is a process-wide singleton: spans from the serving
  * worker pool, the kernel thread pool and single-stream harness runs
@@ -98,7 +103,8 @@ enum : uint32_t {
 };
 
 /**
- * One recorded span/instant, as copied out of a ring by snapshot().
+ * One recorded span/instant: in the frame buffer, the rings (seq/tid
+ * are filled in by snapshot()) and committed exemplars alike.
  */
 struct TraceEvent {
     /** Global publication order (1-based, gap-free per thread). */
@@ -245,41 +251,93 @@ class TraceRecorder
         GUARDED_BY(rings_mu_);
 };
 
-struct ExemplarStaging;
+/**
+ * Per-thread buffer of the spans of one captured frame, opened by the
+ * outermost FrameTraceScope.  While exemplar capture is armed the
+ * spans outlive the scope until ExemplarRecorder::finishFrame()
+ * consumes them on the same thread.
+ */
+struct FrameBuffer {
+    /** Span cap of a frame captured for exemplars only (overflow is
+     *  counted and truncates); sampled frames are uncapped. */
+    static constexpr size_t kUnsampledCapacity = 96;
+
+    /** Slot storage: grows to the largest frame seen, never shrinks. */
+    std::vector<TraceEvent> slots;
+    /** The current frame's spans are slots[0, count). */
+    size_t count = 0;
+    /** Leading spans already published to the ring. */
+    size_t published = 0;
+    /** Spans that did not fit since the last open(). */
+    uint32_t overflow = 0;
+    size_t limit = 0;
+
+    const TraceEvent *begin() const { return slots.data(); }
+    const TraceEvent *end() const { return slots.data() + count; }
+
+    /** Drops the buffered spans (storage is kept). */
+    void clear()
+    {
+        count = 0;
+        published = 0;
+        overflow = 0;
+    }
+
+    /** Empties the buffer for a new frame. */
+    void open(bool sampled)
+    {
+        clear();
+        limit = sampled ? SIZE_MAX : kUnsampledCapacity;
+    }
+
+    /** Next slot, for the caller to overwrite in full but seq/tid
+     *  (no zeroing or staging copy); nullptr when the frame is full. */
+    TraceEvent *append()
+    {
+        if (count >= limit) {
+            ++overflow;
+            return nullptr;
+        }
+        if (count == slots.size())
+            slots.emplace_back();
+        return &slots[count++];
+    }
+
+    /** Appends a copy of a fully built event. */
+    void add(const TraceEvent &ev)
+    {
+        if (TraceEvent *slot = append())
+            *slot = ev;
+    }
+};
+
+/** The calling thread's frame buffer (created on first use). */
+FrameBuffer &frameBuffer();
 
 /**
  * Per-thread frame trace context: which session/frame the spans
  * emitted on this thread belong to, whether the current frame is
- * sampled, and where exemplar staging writes land while the exemplar
- * recorder is armed.  Managed by FrameTraceScope; read by TraceSpan.
+ * sampled, and the open frame buffer (null when nobody captures the
+ * frame).  Managed by FrameTraceScope; read by TraceSpan.
  */
 struct FrameContext {
     int depth = 0;
-    bool active = false;
+    bool sampled = false;
     uint64_t session = 0;
     uint64_t frame = 0;
-    /** Non-null while the current frame stages exemplar spans. */
-    ExemplarStaging *staging = nullptr;
+    FrameBuffer *buffer = nullptr;
 };
 
 /** The calling thread's frame context (for tests/instrumentation). */
 FrameContext &frameContext();
 
-/** True when the current thread is inside a sampled frame. */
-inline bool
-traceActive()
-{
-    return frameContext().active;
-}
-
 /**
  * RAII scope around one frame's execution.  The outermost scope on a
- * thread makes the sampling decision, arms exemplar staging when the
- * exemplar recorder is armed, and emits a FrameExec span on exit;
- * nested scopes (the engine under the serving runtime) are
- * pass-throughs that keep the outer decision and identifiers.  The
- * staged spans survive scope exit in the thread-local buffer so the
- * caller can hand them to ExemplarRecorder::finishFrame().
+ * thread makes the sampling decision, opens the frame buffer when the
+ * frame is sampled or the exemplar recorder is armed, and on exit
+ * appends a FrameExec span and publishes a sampled frame's buffer to
+ * the ring.  Nested scopes (the engine under the serving runtime)
+ * are pass-throughs that keep the outer decision and identifiers.
  */
 class FrameTraceScope
 {
@@ -295,11 +353,8 @@ class FrameTraceScope
     FrameTraceScope(const FrameTraceScope &) = delete;
     FrameTraceScope &operator=(const FrameTraceScope &) = delete;
 
-    /** True when this frame is being traced. */
-    bool active() const { return frameContext().active; }
-
-    /** True when this frame is staging exemplar spans. */
-    bool staged() const { return frameContext().staging != nullptr; }
+    /** True when this frame's spans are captured at all. */
+    bool active() const { return frameContext().buffer != nullptr; }
 
   private:
     bool outer_ = false;
@@ -307,9 +362,8 @@ class FrameTraceScope
 };
 
 /**
- * RAII span: records [construction, destruction) when the thread is
- * inside a sampled frame and/or stages it when the frame is staging
- * exemplar spans, else costs two branches.
+ * RAII span: writes [construction, destruction) into the open frame
+ * buffer, else costs one branch.
  */
 class TraceSpan
 {
@@ -332,16 +386,14 @@ class TraceSpan
     }
 
     /**
-     * True when someone consumes this span — the frame is trace-
-     * sampled or staging exemplar spans — so callers know to compute
-     * and attach args.  Exemplar capture with tracing off still needs
-     * the per-layer MAC counts for reuse-ratio and attribution.
+     * True when the span is captured, so callers know to compute and
+     * attach args.  Exemplar capture with tracing off still needs the
+     * per-layer MAC counts for reuse-ratio and attribution.
      */
-    bool active() const { return active_ || staging_ != nullptr; }
+    bool active() const { return buffer_ != nullptr; }
 
   private:
-    bool active_;
-    ExemplarStaging *staging_;
+    FrameBuffer *buffer_;
     SpanKind kind_;
     int32_t layer_;
     int64_t start_ = 0;
@@ -352,21 +404,28 @@ class TraceSpan
 /**
  * Records a rare instant event (eviction, refresh, shed, ...).
  * Subject only to tracing being enabled, not to frame sampling; also
- * staged when the calling thread's frame is staging exemplar spans
- * (even with tracing off entirely).
+ * written into the open frame buffer (even with tracing off).
  */
 void recordInstant(SpanKind kind, int32_t layer = -1, int64_t a = 0,
                    int64_t b = 0, int64_t c = 0, int64_t d = 0,
                    uint64_t session = 0, uint64_t frame = 0);
 
+/** As above, for an instant the caller already built (startNs set). */
+void recordInstant(const TraceEvent &ev);
+
 /**
  * Records a span whose endpoints were measured externally (e.g. the
- * queue wait between submit and dequeue).  Subject to the calling
- * thread's frame-sampling decision.
+ * queue wait between submit and dequeue) into the open frame buffer.
  */
 void recordSpanAt(SpanKind kind, int64_t start_ns, int64_t end_ns,
                   uint64_t session, uint64_t frame, int64_t a = 0,
                   int64_t b = 0);
+
+/**
+ * Publishes the calling thread's open sampled frame to the ring now,
+ * so a postmortem dump taken mid-frame holds its closed spans.
+ */
+void flushOpenFrame();
 
 } // namespace obs
 } // namespace reuse

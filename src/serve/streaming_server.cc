@@ -73,7 +73,7 @@ StreamingServer::StreamingServer(
             arm_exemplars = true;
     }
     if (arm_exemplars) {
-        // Process-wide on purpose (staging hooks live in the obs
+        // Process-wide on purpose (the capture hooks live in the obs
         // layer); a server that never enables exemplars leaves the
         // recorder's prior state alone.
         obs::ExemplarRecorder::Policy policy;
@@ -226,12 +226,9 @@ StreamingServer::trySubmitFrame(SessionId id, Tensor input)
             outcome.retryAfterMicros = per > 0 ? per : 1000;
             outcome.status = SubmitOutcome::Status::Shed;
             metrics_.frameShed(session->slo(), now);
-            obs::recordInstant(
-                obs::SpanKind::FrameShed, -1,
-                static_cast<int64_t>(session->pending_.size()),
-                outcome.retryAfterMicros, 0, 0, id, 0);
             obs::ExemplarRecorder::instance().recordShed(
                 id, static_cast<uint8_t>(session->slo()),
+                static_cast<int64_t>(session->pending_.size()),
                 outcome.retryAfterMicros, now);
             return outcome;
         }
@@ -242,13 +239,9 @@ StreamingServer::trySubmitFrame(SessionId id, Tensor input)
                 std::max<int64_t>(admit.retryAfterMicros, 1);
             outcome.status = SubmitOutcome::Status::Shed;
             metrics_.frameShed(session->slo(), now);
-            obs::recordInstant(
-                obs::SpanKind::FrameShed, -1,
-                static_cast<int64_t>(
-                    sched_.pendingFrames(shard)),
-                outcome.retryAfterMicros, 0, 0, id, 0);
             obs::ExemplarRecorder::instance().recordShed(
                 id, static_cast<uint8_t>(session->slo()),
+                static_cast<int64_t>(sched_.pendingFrames(shard)),
                 outcome.retryAfterMicros, now);
             return outcome;
         }
@@ -300,7 +293,7 @@ StreamingServer::executeFrame(Session &session, FrameRequest &req,
     // is sampled and stamps every nested span (engine, kernels) with
     // the session/frame identifiers.
     obs::FrameTraceScope frame_scope(session.id(), req.frameIndex);
-    if (frame_scope.active() || frame_scope.staged()) {
+    if (frame_scope.active()) {
         obs::TraceRecorder &tracer = obs::TraceRecorder::instance();
         // Queue wait measured on the serve clock (virtual in tests),
         // mapped onto the tracer's own timeline ending now.
@@ -435,7 +428,7 @@ StreamingServer::dispatchEntry(Sched::Entry &entry,
     obs::ExemplarRecorder &exemplars =
         obs::ExemplarRecorder::instance();
     if (exemplars.armed()) {
-        // Same thread that staged the spans in executeFrame: the
+        // Same thread that buffered the spans in executeFrame: the
         // commit-or-discard decision consumes the thread-local buffer.
         obs::ExemplarRecorder::FrameMeta meta;
         meta.session = session->id();
@@ -640,10 +633,13 @@ StreamingServer::publishStats(StatRegistry &registry) const
     set("serve.plan_cache.hits", static_cast<double>(plan_stats.hits));
     set("serve.plan_cache.misses",
         static_cast<double>(plan_stats.misses));
-    // Exemplar-capture loss accounting: dropped > 0 means the ring is
-    // overwriting tail evidence, staging overflows mean truncated
-    // attribution — both must be visible from the scrape endpoint,
+    // Capture loss accounting: dropped > 0 means a ring is
+    // overwriting evidence, staging overflows mean truncated
+    // attribution — all must be visible from the scrape endpoint,
     // not just inside exported traces.
+    set("obs.trace.dropped_events",
+        static_cast<double>(
+            obs::TraceRecorder::instance().droppedEvents()));
     const obs::ExemplarRecorder &exemplars =
         obs::ExemplarRecorder::instance();
     set("obs.trace.exemplars_committed",

@@ -1,11 +1,13 @@
 /**
  * @file
  * Flight-recorder tests: dumpNow() writes a postmortem the offline
- * tools can parse, the single-dump guard holds, and the metrics
- * provider is embedded when registered.  The fatal-signal path itself
- * is exercised end to end by the CI crash leg (serve_throughput
- * --postmortem --crash-after); here we drive the same writer directly
- * so the tests stay in-process and deterministic.
+ * tools can parse, the single-dump guard holds, the metrics provider
+ * is embedded when registered, and a frame still open on the dumping
+ * thread contributes the spans it already closed.  The fatal-signal
+ * path itself is exercised end to end by the CI crash leg
+ * (serve_throughput --postmortem --crash-after); here we drive the
+ * same writer directly so the tests stay in-process and
+ * deterministic.
  */
 
 #include <gtest/gtest.h>
@@ -39,6 +41,7 @@ class FlightRecorderTest : public ::testing::Test
         off.armed = false;
         ExemplarRecorder::instance().configure(off);
         ExemplarRecorder::instance().clear();
+        TraceRecorder::instance().setSampleEvery(0);
         TraceRecorder::instance().clear();
         std::remove(path().c_str());
     }
@@ -130,6 +133,36 @@ TEST_F(FlightRecorderTest, CommittedExemplarsSurviveIntoTheDump)
     EXPECT_EQ(exs[0].at("latency_us").asInt(), 50'000);
     EXPECT_EQ(dump.at("otherData").at("exemplarsCommitted").asInt(),
               1);
+}
+
+TEST_F(FlightRecorderTest, InFlightSampledFrameSurvivesIntoTheDump)
+{
+    // A crash lands mid-frame: the spans that frame already closed
+    // must reach the dump although the frame itself never finished.
+    TraceRecorder::instance().setSampleEvery(1);
+    FlightRecorder::install(path());
+    {
+        FrameTraceScope frame(4, 2);
+        {
+            TraceSpan span(SpanKind::LayerExec, 3);
+            span.args(10, 1, 100, 10);
+        }
+        ASSERT_TRUE(FlightRecorder::dumpNow("mid-frame"));
+    }
+
+    const JsonValue dump = parseDump();
+    int found = 0;
+    for (const JsonValue &ev : dump.at("traceEvents").asArray()) {
+        if (ev.at("name").asString() != "layer_exec")
+            continue;
+        const JsonValue &args = ev.at("args");
+        EXPECT_EQ(args.at("layer").asInt(), 3);
+        EXPECT_EQ(args.at("session").asInt(), 4);
+        EXPECT_EQ(args.at("frame").asInt(), 2);
+        EXPECT_EQ(args.at("macs_full").asInt(), 100);
+        ++found;
+    }
+    EXPECT_EQ(found, 1);
 }
 
 } // namespace

@@ -4,7 +4,9 @@
  * exported to Chrome trace-event JSON, parsed back with the repo's
  * JSON parser, validated against the checked-in schema, and reduced
  * to per-layer reuse numbers that must agree with the engine's own
- * ReuseStatsCollector — exactly at 1/1 sampling, within 1% sampled.
+ * ReuseStatsCollector — exactly at 1/1 sampling (also for a recurrent
+ * utterance whose single frame emits hundreds of spans), within 1%
+ * sampled.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +21,7 @@
 #include "nn/activations.h"
 #include "nn/fully_connected.h"
 #include "nn/initializers.h"
+#include "nn/lstm.h"
 #include "obs/trace_aggregate.h"
 #include "obs/trace_exporter.h"
 #include "obs/trace_recorder.h"
@@ -196,6 +199,55 @@ TEST_F(TraceExportTest, FullSamplingMatchesEngineStatsExactly)
         EXPECT_EQ(a.macsPerformed, s.macsPerformed);
         EXPECT_DOUBLE_EQ(a.similarity(), s.similarity());
         EXPECT_DOUBLE_EQ(a.computationReuse(), s.computationReuse());
+    }
+}
+
+TEST_F(TraceExportTest, FullSamplingMatchesEngineStatsOnLongUtterance)
+{
+    // A recurrent utterance is one frame; 40 timesteps emit per-step
+    // scan/apply spans, far more than the 96 an exemplar-only frame
+    // keeps.  A sampled frame must still publish every span, down to
+    // the last layer's layer_exec.
+    Rng rng(73);
+    Network net("traced_rnn", Shape({8}));
+    net.addLayer(std::make_unique<LstmLayer>("LSTM1", 8, 12));
+    net.addLayer(std::make_unique<FullyConnectedLayer>("FC", 12, 4));
+    initNetwork(net, rng);
+    std::vector<Tensor> utterance;
+    Tensor x(Shape({8}));
+    rng.fillGaussian(x.data(), 0.0f, 1.0f);
+    for (int t = 0; t < 40; ++t) {
+        for (int64_t i = 0; i < 8; ++i)
+            x[i] += rng.gaussian(0.0f, 0.05f);
+        utterance.push_back(x);
+    }
+    ReuseEngine engine(
+        net, makePlan(net, profileNetworkRanges(net, utterance), 64,
+                      {0, 1}));
+    ReuseState state = engine.makeState();
+    ExecutionTrace trace;
+    engine.executeSequence(state, utterance, trace);
+    ReuseStatsCollector stats = engine.makeStatsCollector();
+    stats.addTrace(trace);
+
+    const JsonValue exported = exportAndParse();
+    ASSERT_GT(exported.at("traceEvents").asArray().size(), 96u);
+    TraceAggregate agg;
+    std::string error;
+    ASSERT_TRUE(aggregateTrace(exported, &agg, &error)) << error;
+    EXPECT_EQ(agg.droppedEvents, 0u);
+
+    const std::vector<LayerReuseStats> &layers = stats.layers();
+    for (const int li : {0, 1}) {
+        ASSERT_TRUE(agg.layers.count(li)) << "layer " << li;
+        const LayerTraceAgg &a = agg.layers.at(li);
+        const LayerReuseStats &s = layers[size_t(li)];
+        EXPECT_EQ(s.executions, 1);
+        EXPECT_EQ(a.spans, s.executions);
+        EXPECT_EQ(a.inputsChecked, s.inputsChecked);
+        EXPECT_EQ(a.inputsChanged, s.inputsChanged);
+        EXPECT_EQ(a.macsFull, s.macsFull);
+        EXPECT_EQ(a.macsPerformed, s.macsPerformed);
     }
 }
 

@@ -87,7 +87,7 @@ TEST_F(TraceRecorderTest, NestedScopesKeepOuterIdentity)
             EXPECT_TRUE(inner.active());
             TraceSpan span(SpanKind::LayerExec, 0);
         }
-        EXPECT_TRUE(traceActive());
+        EXPECT_TRUE(frameContext().sampled);
     }
     const std::vector<TraceEvent> events =
         TraceRecorder::instance().snapshot();

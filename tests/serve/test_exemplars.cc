@@ -19,6 +19,7 @@
 #include "nn/fully_connected.h"
 #include "nn/initializers.h"
 #include "obs/exemplar.h"
+#include "obs/trace_recorder.h"
 #include "quant/range_profiler.h"
 #include "serve/streaming_server.h"
 #include "support/virtual_clock.h"
@@ -29,8 +30,9 @@ namespace {
 using testing::VirtualClock;
 
 /**
- * The recorder is process-wide; disarm and empty it around every test
- * so commits cannot leak across tests in this binary.
+ * The recorders are process-wide; disarm and empty them around every
+ * test so commits and trace events cannot leak across tests in this
+ * binary.
  */
 class ExemplarTest : public ::testing::Test
 {
@@ -44,6 +46,8 @@ class ExemplarTest : public ::testing::Test
         off.armed = false;
         obs::ExemplarRecorder::instance().configure(off);
         obs::ExemplarRecorder::instance().clear();
+        obs::TraceRecorder::instance().setSampleEvery(0);
+        obs::TraceRecorder::instance().clear();
     }
 };
 
@@ -144,7 +148,7 @@ TEST_F(ExemplarTest, DeadlineMissCommitsWithCausalTimeline)
     // The staged timeline must carry the frame execution, its queue
     // wait, and one span per network layer.
     size_t frame_execs = 0, queue_waits = 0, layer_execs = 0;
-    for (const obs::ExemplarSpan &s : ex.spans) {
+    for (const obs::TraceEvent &s : ex.spans) {
         frame_execs += s.kind == obs::SpanKind::FrameExec ? 1 : 0;
         queue_waits += s.kind == obs::SpanKind::QueueWait ? 1 : 0;
         layer_execs += s.kind == obs::SpanKind::LayerExec ? 1 : 0;
@@ -152,6 +156,55 @@ TEST_F(ExemplarTest, DeadlineMissCommitsWithCausalTimeline)
     EXPECT_EQ(frame_execs, 1u);
     EXPECT_EQ(queue_waits, 1u);
     EXPECT_EQ(layer_execs, 3u);
+}
+
+TEST_F(ExemplarTest, SampledMissExemplarEqualsItsTraceEvents)
+{
+    ExemplarFixture f;
+    ReuseEngine engine(f.net, f.plan);
+    VirtualClock clock;
+    StreamingServer server(engine, f.armedConfig(clock));
+    const SessionId id =
+        server.openSession("default", 1, SloClass::Interactive);
+    obs::TraceRecorder &tracer = obs::TraceRecorder::instance();
+    tracer.setSampleEvery(1);
+
+    auto fut = server.submitFrame(id, f.frame(1));
+    clock.advance(50'000);  // a miss, and also a sampled frame
+    ASSERT_TRUE(server.runOne(0));
+    fut.get();
+
+    obs::ExemplarRecorder &rec = obs::ExemplarRecorder::instance();
+    ASSERT_EQ(rec.committed(), 1u);
+    const obs::Exemplar ex = rec.snapshot()[0];
+    // The frame's timeline in the trace: every event stamped with its
+    // session/frame except the submit instant, which precedes the
+    // frame's execution.
+    std::vector<obs::TraceEvent> traced;
+    for (const obs::TraceEvent &ev : tracer.snapshot()) {
+        if (ev.session == id && ev.frame == ex.frame &&
+            ev.kind != obs::SpanKind::FrameSubmit)
+            traced.push_back(ev);
+    }
+    // The exemplar and the trace hold the same spans, FrameExec
+    // included, with the same timestamps and args.
+    ASSERT_EQ(ex.spans.size(), traced.size());
+    size_t frame_execs = 0;
+    for (size_t i = 0; i < traced.size(); ++i) {
+        const obs::TraceEvent &s = ex.spans[i];
+        const obs::TraceEvent &t = traced[i];
+        EXPECT_EQ(s.kind, t.kind) << "span " << i;
+        EXPECT_EQ(s.layer, t.layer) << "span " << i;
+        EXPECT_EQ(s.flags, t.flags) << "span " << i;
+        EXPECT_EQ(s.startNs, t.startNs) << "span " << i;
+        EXPECT_EQ(s.durNs, t.durNs) << "span " << i;
+        EXPECT_EQ(s.a, t.a) << "span " << i;
+        EXPECT_EQ(s.b, t.b) << "span " << i;
+        EXPECT_EQ(s.c, t.c) << "span " << i;
+        EXPECT_EQ(s.d, t.d) << "span " << i;
+        frame_execs += t.kind == obs::SpanKind::FrameExec ? 1 : 0;
+    }
+    EXPECT_EQ(frame_execs, 1u);
 }
 
 TEST_F(ExemplarTest, ThresholdBoundaryExactlyAtIsHealthy)
@@ -320,6 +373,8 @@ TEST_F(ExemplarTest, RingEvictsOldestAndCountsDrops)
                      1.0);
     EXPECT_DOUBLE_EQ(
         reg.get("obs.trace.exemplar_staging_overflows").value(), 0.0);
+    ASSERT_TRUE(reg.has("obs.trace.dropped_events"));
+    EXPECT_DOUBLE_EQ(reg.get("obs.trace.dropped_events").value(), 0.0);
 }
 
 TEST_F(ExemplarTest, StolenFrameIsMarkedStolen)

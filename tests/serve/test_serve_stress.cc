@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <future>
+#include <map>
 #include <thread>
 #include <vector>
 
@@ -23,6 +24,7 @@
 #include "nn/fully_connected.h"
 #include "nn/initializers.h"
 #include "obs/exemplar.h"
+#include "obs/trace_recorder.h"
 #include "quant/range_profiler.h"
 #include "serve/streaming_server.h"
 #include "support/diff_oracle.h"
@@ -272,20 +274,27 @@ TEST(ServeStress, OverloadShedsWithBackoffHint)
 }
 
 /**
- * Exemplar staging under contention: every worker thread stages spans
- * into its thread-local buffer for every frame, and an impossible
- * low-reuse floor forces every steady-state frame to commit into the
- * shared ring while submissions race from multiple producer threads.
- * TSan-clean execution plus consistent counters is the assertion: the
- * ring can never hold more than committed-minus-dropped exemplars,
- * and every committed exemplar carries a complete staged timeline.
+ * Exemplar capture under contention: every worker thread buffers the
+ * spans of every frame in its thread-local frame buffer, and an
+ * impossible low-reuse floor forces every steady-state frame to
+ * commit into the shared ring while submissions race from multiple
+ * producer threads.  TSan-clean execution plus consistent counters is
+ * the assertion: the ring can never hold more than
+ * committed-minus-dropped exemplars, and every committed exemplar
+ * carries a complete timeline.  With `sample_every` = 1 the same
+ * buffers also feed the trace rings, and every completed frame's
+ * frame_exec must appear there exactly once.
  */
-TEST(ServeStress, ExemplarStagingRacesStayConsistent)
+void
+runExemplarCaptureRace(uint32_t sample_every)
 {
     ServerFixture f;
     ReuseEngine engine(f.net, f.plan);
     constexpr size_t kSessions = 4;
     constexpr size_t kFrames = 40;
+    obs::TraceRecorder &tracer = obs::TraceRecorder::instance();
+    tracer.clear();
+    tracer.setSampleEvery(sample_every);
 
     StreamingServer::Config cfg;
     cfg.workerThreads = 4;
@@ -331,16 +340,44 @@ TEST(ServeStress, ExemplarStagingRacesStayConsistent)
         EXPECT_NE(ex.causes & obs::kExemplarLowReuse, 0u);
         EXPECT_FALSE(ex.truncated);
         size_t frame_execs = 0;
-        for (const obs::ExemplarSpan &sp : ex.spans)
+        for (const obs::TraceEvent &sp : ex.spans)
             frame_execs += sp.kind == obs::SpanKind::FrameExec;
         EXPECT_EQ(frame_execs, 1u) << "session " << ex.session
                                    << " frame " << ex.frame;
     }
 
+    if (sample_every == 1) {
+        EXPECT_EQ(tracer.droppedEvents(), 0u);
+        std::map<std::pair<uint64_t, uint64_t>, int> frame_execs;
+        for (const obs::TraceEvent &ev : tracer.snapshot()) {
+            if (ev.kind == obs::SpanKind::FrameExec)
+                frame_execs[{ev.session, ev.frame}] += 1;
+        }
+        EXPECT_EQ(frame_execs.size(), kSessions * kFrames);
+        for (size_t s = 0; s < kSessions; ++s) {
+            for (uint64_t i = 0; i < kFrames; ++i) {
+                EXPECT_EQ((frame_execs[{ids[s], i}]), 1)
+                    << "session " << ids[s] << " frame " << i;
+            }
+        }
+    }
+
+    tracer.setSampleEvery(0);
+    tracer.clear();
     obs::ExemplarRecorder::Policy off;
     off.armed = false;
     rec.configure(off);
     rec.clear();
+}
+
+TEST(ServeStress, ExemplarStagingRacesStayConsistent)
+{
+    runExemplarCaptureRace(0);
+}
+
+TEST(ServeStress, ExemplarStagingRacesStayConsistentWhenSampled)
+{
+    runExemplarCaptureRace(1);
 }
 
 } // namespace

@@ -115,6 +115,12 @@ main(int argc, char **argv)
               << " events, 1/" << agg.sampleEvery
               << " frame sampling, " << agg.droppedEvents
               << " dropped)\n";
+    if (agg.droppedEvents > 0) {
+        std::cout << "WARNING: trace rings wrapped — "
+                  << agg.droppedEvents
+                  << " events lost; per-layer sums undercount. Sample "
+                     "fewer frames or export more often\n";
+    }
 
     if (!agg.layers.empty()) {
         TableWriter t({"Layer", "Spans", "Similarity", "Comp. Reuse",
